@@ -147,53 +147,53 @@ func BenchmarkRunnerDirectGoverned(b *testing.B) {
 }
 
 // BenchmarkSupervisedThroughput runs the same governed program through a
-// warm one-worker supervise pool: the delta against
+// one-slot supervise scheduler: the delta against
 // BenchmarkRunnerDirectGoverned is the full supervision overhead
-// (admission, dispatch, watchdog, health probe, warm reset), which must
-// stay under 5%.
+// (admission, grant, yield heartbeats, health probe, warm reset), which
+// must stay under 5%.
 func BenchmarkSupervisedThroughput(b *testing.B) {
 	code, err := pycompile.CompileSource("bench", hotLoop)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := supervise.NewPool(supervise.Config{
-		Workers:       1,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:         1,
 		DefaultLimits: benchGovernedLimits,
 		// The armed-but-far MaxHeapBytes reserves 1 TiB per job; lift
 		// the admission watermark accordingly.
 		HeapWatermark: 1 << 41,
 	})
-	defer pool.Close()
+	defer sched.Close()
 	job := &supervise.Job{Name: "bench", Code: code, Mode: runtime.CPython}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := pool.Submit(job); res.Class != supervise.ClassOK {
+		if res := sched.Submit(job); res.Class != supervise.ClassOK {
 			b.Fatalf("class %s: %s", res.Class, res.Err)
 		}
 	}
 }
 
 // BenchmarkSupervisedThroughputTelemetry is BenchmarkSupervisedThroughput
-// with the pool fully instrumented (job counters, queue-wait and run-time
-// histograms, occupancy gauges): the delta between the two is the
-// telemetry tax per job, which must stay within ~2% of the uninstrumented
-// pool (see EXPERIMENTS.md).
+// with the scheduler fully instrumented (job counters, queue-wait and
+// run-time histograms, lifecycle transitions, occupancy gauges): the
+// delta between the two is the telemetry tax per job, which must stay
+// within ~2% of the uninstrumented scheduler (see EXPERIMENTS.md).
 func BenchmarkSupervisedThroughputTelemetry(b *testing.B) {
 	code, err := pycompile.CompileSource("bench", hotLoop)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := supervise.NewPool(supervise.Config{
-		Workers:       1,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:         1,
 		DefaultLimits: benchGovernedLimits,
 		HeapWatermark: 1 << 41,
 		Metrics:       supervise.NewMetrics(telemetry.NewRegistry()),
 	})
-	defer pool.Close()
+	defer sched.Close()
 	job := &supervise.Job{Name: "bench", Code: code, Mode: runtime.CPython}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := pool.Submit(job); res.Class != supervise.ClassOK {
+		if res := sched.Submit(job); res.Class != supervise.ClassOK {
 			b.Fatalf("class %s: %s", res.Class, res.Err)
 		}
 	}

@@ -1,24 +1,23 @@
 // Command pyserve is the MiniPy serving daemon: an HTTP/JSON front end
-// over the internal/supervise worker pool. Programs run on warm,
-// reusable VM workers under per-request resource budgets; worker
-// failures are quarantined and replaced without dropping the service.
-// The server itself lives in internal/serve so the routing tier
+// over the internal/supervise step-sliced scheduler. Programs run on
+// warm, reusable VM Runners under per-request resource budgets; jobs
+// interleave at -quantum-steps granularity under strict-priority lanes
+// and per-tenant fair queueing, so many more jobs than slots can be in
+// flight at once and long programs never block short ones. A Runner
+// that fails a health check is dropped and replaced without dropping the
+// service. The server itself lives in internal/serve so the routing tier
 // (internal/route, cmd/pyroute) can spin in-process backends; this
 // command is flag parsing and wiring.
 //
 // Usage:
 //
-//	pyserve [-addr :8042] [-workers 4] [-queue 8] [-timeout 5s]
+//	pyserve [-addr :8042] [-workers 4] [-timeout 5s]
 //	        [-max-steps n] [-max-heap bytes] [-max-output bytes]
 //	        [-recycle 256] [-dedup-ttl 5m] [-dedup-cap 4096]
 //	        [-prog-ttl 30m] [-prog-cap 1024]
-//	        [-sched] [-lanes 2] [-quantum-steps 50000]
+//	        [-lanes 2] [-quantum-steps 50000]
 //
-// With -sched the backend is the step-sliced scheduler instead of the
-// exclusive pool: -workers becomes the concurrent slot count, jobs
-// interleave at -quantum-steps granularity under strict-priority lanes
-// and per-tenant fair queueing, and many more jobs than slots can be
-// in flight at once (long programs no longer block short ones).
+// -workers is the scheduler's slot count: how many jobs execute at once.
 //
 // Endpoints (versioned API, see internal/api and internal/serve):
 //
@@ -28,7 +27,7 @@
 //	                           program store; returns its programRef
 //	GET/DELETE /v1/programs/{ref}  store metadata / invalidation
 //	GET  /v1/metrics Prometheus text exposition
-//	GET  /v1/healthz pure liveness (200 while any worker is alive,
+//	GET  /v1/healthz pure liveness (200 while the process serves,
 //	                 draining included)
 //	GET  /v1/readyz  readiness (503 while draining or shedding at the
 //	                 heap watermark)
@@ -53,21 +52,19 @@ import (
 func run() int {
 	var (
 		addr      = flag.String("addr", ":8042", "listen address")
-		workers   = flag.Int("workers", 4, "warm VM workers in the pool")
-		queue     = flag.Int("queue", 0, "admission queue depth (0: 2x workers)")
+		workers   = flag.Int("workers", 4, "scheduler slots: jobs executing at once")
 		timeout   = flag.Duration("timeout", 5*time.Second, "default wall-clock deadline per job")
 		maxSteps  = flag.Uint64("max-steps", 50_000_000, "default step budget per job (0: unlimited)")
 		maxHeap   = flag.Uint64("max-heap", 256<<20, "default live-heap cap per job in bytes (0: unlimited)")
 		maxOutput = flag.Uint64("max-output", 8<<20, "default output cap per job in bytes (0: unlimited)")
-		recycle   = flag.Int("recycle", 256, "retire a worker after this many jobs")
+		recycle   = flag.Int("recycle", 256, "retire a warm Runner after this many jobs")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long /drainz waits for in-flight jobs")
 		dedupTTL  = flag.Duration("dedup-ttl", 5*time.Minute, "how long an idempotency key's recorded result answers replays")
 		dedupCap  = flag.Int("dedup-cap", 4096, "max idempotency keys held in the dedup cache")
 		progTTL   = flag.Duration("prog-ttl", 30*time.Minute, "how long a registered program stays resolvable by reference")
 		progCap   = flag.Int("prog-cap", 1024, "max programs held in the content-addressed store")
-		sched     = flag.Bool("sched", false, "step-sliced scheduler backend: jobs interleave at quantum granularity instead of holding a worker exclusively")
-		lanes     = flag.Int("lanes", 2, "strict-priority lanes (with -sched; lane 0 served first)")
-		quantum   = flag.Uint64("quantum-steps", 0, "preemption granularity in bytecodes (with -sched; 0: 50k default)")
+		lanes     = flag.Int("lanes", 2, "strict-priority lanes (lane 0 served first)")
+		quantum   = flag.Uint64("quantum-steps", 0, "preemption granularity in bytecodes (0: 50k default)")
 	)
 	flag.Parse()
 
@@ -78,31 +75,17 @@ func run() int {
 		Deadline:       *timeout,
 		MaxOutputBytes: *maxOutput,
 	}
-	var backend serve.Backend
-	if *sched {
-		s := supervise.NewSched(supervise.SchedConfig{
-			Slots:         *workers,
-			QuantumSteps:  *quantum,
-			Lanes:         *lanes,
-			RecycleAfter:  *recycle,
-			Metrics:       supervise.NewMetrics(reg),
-			DefaultLimits: limits,
-		})
-		defer s.Close()
-		backend = s
-	} else {
-		pool := supervise.NewPool(supervise.Config{
-			Workers:       *workers,
-			QueueDepth:    *queue,
-			RecycleAfter:  *recycle,
-			Metrics:       supervise.NewMetrics(reg),
-			DefaultLimits: limits,
-		})
-		defer pool.Close()
-		backend = pool
-	}
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:         *workers,
+		QuantumSteps:  *quantum,
+		Lanes:         *lanes,
+		RecycleAfter:  *recycle,
+		Metrics:       supervise.NewMetrics(reg),
+		DefaultLimits: limits,
+	})
+	defer sched.Close()
 
-	srv := serve.NewWithOptions(backend, reg, serve.Options{
+	srv := serve.NewWithOptions(sched, reg, serve.Options{
 		DrainTimeout: *drainWait,
 		LogW:         os.Stderr,
 		DedupTTL:     *dedupTTL,
@@ -110,11 +93,7 @@ func run() int {
 		ProgTTL:      *progTTL,
 		ProgCap:      *progCap,
 	})
-	mode := "workers"
-	if *sched {
-		mode = "step-sliced slots"
-	}
-	fmt.Fprintf(os.Stderr, "pyserve: listening on %s (%d %s)\n", *addr, *workers, mode)
+	fmt.Fprintf(os.Stderr, "pyserve: listening on %s (%d step-sliced slots)\n", *addr, *workers)
 	if err := http.ListenAndServe(*addr, srv.Mux()); err != nil {
 		fmt.Fprintln(os.Stderr, "pyserve:", err)
 		return 1

@@ -144,12 +144,11 @@ type RunRequestV1 struct {
 	// key for a different program returns the first program's result.
 	// At most MaxIdempotencyKey bytes.
 	IdempotencyKey string `json:"idempotencyKey,omitempty"`
-	// Lane is the priority lane under a step-sliced backend (0 is
-	// highest; clamped to the backend's lane count). Ignored — and
-	// harmless — on an exclusive-pool backend.
+	// Lane is the job's priority lane (0 is highest; clamped to the
+	// backend's lane count).
 	Lane int `json:"lane,omitempty"`
-	// Tenant is the fair-queueing identity under a step-sliced backend:
-	// tenants within a lane share step throughput deficit-round-robin.
+	// Tenant is the job's fair-queueing identity: tenants within a lane
+	// share step throughput deficit-round-robin.
 	// Empty is a valid (shared) tenant.
 	Tenant string `json:"tenant,omitempty"`
 }

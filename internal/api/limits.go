@@ -2,7 +2,7 @@
 // and the fuzz/soak tooling: the canonical resource-budget type
 // (Limits), the /v1 request and result structs, and the machine-readable
 // error envelope. Every layer that previously carried its own budget
-// struct — the interpreter governor, the worker pool, the HTTP request
+// struct — the interpreter governor, the scheduler, the HTTP request
 // body — now shares this one, and all clamping and validation lives in
 // Normalize.
 package api

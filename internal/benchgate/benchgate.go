@@ -54,8 +54,8 @@ var Table = []Gate{
 		Package:        "./internal/supervise/",
 		Test:           "TestSchedOverheadGuard",
 		MaxOverheadPct: 2.0,
-		Baseline:       "single job on the exclusive pool",
-		Optimized:      "single job on the step-sliced scheduler (default quantum, no contention)",
+		Baseline:       "single job compiled and run directly on a warm runtime.Runner",
+		Optimized:      "single job submitted to the step-sliced scheduler (default quantum, no contention)",
 	},
 	{
 		Name:           "progstore-lookup-overhead",

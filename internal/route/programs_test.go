@@ -51,12 +51,12 @@ func TestRefKeyMatchesContentHash(t *testing.T) {
 func countingBackend(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	pool := supervise.NewPool(supervise.Config{
-		Workers:       1,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:         1,
 		Metrics:       supervise.NewMetrics(reg),
 		DefaultLimits: testLimits,
 	})
-	mux := serve.New(pool, reg, time.Second, nil).Mux()
+	mux := serve.New(sched, reg, time.Second, nil).Mux()
 	var runs atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/run" {
@@ -64,7 +64,7 @@ func countingBackend(t *testing.T) (*httptest.Server, *atomic.Int64) {
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	t.Cleanup(func() { ts.Close(); pool.Close() })
+	t.Cleanup(func() { ts.Close(); sched.Close() })
 	return ts, &runs
 }
 

@@ -30,17 +30,17 @@ var testLimits = interp.Limits{
 }
 
 // newServeBackend starts a real in-process pyserve backend.
-func newServeBackend(t *testing.T, workers int) (*supervise.Pool, *httptest.Server) {
+func newServeBackend(t *testing.T, slots int) (*supervise.Sched, *httptest.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	pool := supervise.NewPool(supervise.Config{
-		Workers:       workers,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:         slots,
 		Metrics:       supervise.NewMetrics(reg),
 		DefaultLimits: testLimits,
 	})
-	ts := httptest.NewServer(serve.New(pool, reg, time.Second, nil).Mux())
-	t.Cleanup(func() { ts.Close(); pool.Close() })
-	return pool, ts
+	ts := httptest.NewServer(serve.New(sched, reg, time.Second, nil).Mux())
+	t.Cleanup(func() { ts.Close(); sched.Close() })
+	return sched, ts
 }
 
 // newRouter builds and starts a Router over cfg plus an HTTP front for

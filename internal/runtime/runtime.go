@@ -211,7 +211,7 @@ func (r *Result) GCShare() float64 {
 // Each execution runs on pristine VM state: RunCode consumes the
 // pre-built state left by Reset if one is waiting, and otherwise builds
 // its own, so two sequential runs on one Runner behave exactly like runs
-// on two fresh Runners. A warm worker pool calls Reset between jobs to
+// on two fresh Runners. The serving scheduler calls Reset between jobs to
 // pay the VM construction cost off the job's critical path.
 type Runner struct {
 	cfg  Config
@@ -259,7 +259,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 func (r *Runner) Config() Config { return r.cfg }
 
 // SetLimits replaces the resource limits applied to subsequent runs (a
-// worker pool arms per-job budgets on a warm Runner). Takes effect even
+// scheduler arms per-job budgets on a warm Runner). Takes effect even
 // when a pre-built state from Reset is waiting.
 func (r *Runner) SetLimits(l interp.Limits) { r.cfg.Limits = l }
 

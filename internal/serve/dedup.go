@@ -17,7 +17,7 @@ import (
 // TTL window on this backend. The first request under a key executes and
 // records its result; every replay within the TTL — a router re-routing
 // a mid-flight network failure, a client retrying a timed-out call —
-// returns the recorded RunResultV1 without touching the worker pool.
+// returns the recorded RunResultV1 without touching the scheduler.
 // Concurrent replays single-flight: one executes, the rest wait on it
 // and absorb its result, so even a replay racing the original cannot
 // double-execute.
@@ -25,7 +25,7 @@ import (
 // Overhead discipline (SlipCover's): requests without a key never touch
 // the cache — one empty-string compare and the whole subsystem
 // disappears. Keyed requests pay one mutex'd map lookup per consult,
-// off the worker-pool critical path; nothing here runs inside a job.
+// off the scheduler's critical path; nothing here runs inside a job.
 // The p50 cost of the consult is pinned by the router-dedup-overhead
 // benchgate entry.
 

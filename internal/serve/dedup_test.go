@@ -23,8 +23,8 @@ import (
 func dedupServer(t *testing.T, opts Options) (*httptest.Server, *Server, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	pool := supervise.NewPool(supervise.Config{
-		Workers: 2,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:   2,
 		Metrics: supervise.NewMetrics(reg),
 		DefaultLimits: interp.Limits{
 			MaxSteps:       10_000_000,
@@ -35,11 +35,11 @@ func dedupServer(t *testing.T, opts Options) (*httptest.Server, *Server, *teleme
 	})
 	opts.DrainTimeout = 10 * time.Second
 	opts.LogW = io.Discard
-	srv := NewWithOptions(pool, reg, opts)
+	srv := NewWithOptions(sched, reg, opts)
 	ts := httptest.NewServer(srv.Mux())
 	t.Cleanup(func() {
 		ts.Close()
-		pool.Close()
+		sched.Close()
 	})
 	return ts, srv, reg
 }

@@ -253,7 +253,7 @@ func TestRunInlineProgramCacheStamps(t *testing.T) {
 	}
 
 	// A compile error on the inline path must keep its pre-store shape:
-	// worker-side compile error, no program stamps.
+	// scheduler-side compile error, no program stamps.
 	status, bad := postRunV1(t, ts, api.RunRequestV1{Src: "def f(:\n"})
 	if status != 200 || bad.ExitClass != "error" {
 		t.Fatalf("inline compile error: status %d class %s", status, bad.ExitClass)

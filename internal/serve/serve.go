@@ -1,13 +1,13 @@
 // Package serve is the pyserve HTTP serving layer: the versioned /v1
-// JSON surface over an internal/supervise worker pool. cmd/pyserve is a
+// JSON surface over the internal/supervise scheduler. cmd/pyserve is a
 // thin flag-parsing wrapper; keeping the server here lets the router
 // (internal/route) and its chaos soaks spin real in-process backends.
 //
 // Endpoints:
 //
-//	POST /v1/run     execute one MiniPy program on a warm worker
+//	POST /v1/run     execute one MiniPy program on a warm Runner
 //	GET  /v1/metrics Prometheus text exposition
-//	GET  /v1/healthz pure liveness: 200 while any worker is alive,
+//	GET  /v1/healthz pure liveness: 200 while the process serves,
 //	                 including while draining — "shutting down, stop
 //	                 routing here" is readiness, not death
 //	GET  /v1/readyz  readiness: 503 while draining or while admission
@@ -46,11 +46,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Backend is the execution engine behind the HTTP surface: the
-// exclusive worker pool (supervise.Pool) or the step-sliced scheduler
-// (supervise.Sched). The server only needs the submit/observe/drain
-// triad — everything scheduler-specific travels inside Job and
-// JobResult, so one handler serves both.
+// Backend is the execution engine behind the HTTP surface:
+// *supervise.Sched, or a caller's wrapper around it (a tracing shim, a
+// test fake). The server only needs the submit/observe/drain triad —
+// everything scheduler-specific travels inside Job and JobResult.
 type Backend interface {
 	Submit(job *supervise.Job) *supervise.JobResult
 	Stats() supervise.Stats
@@ -60,7 +59,7 @@ type Backend interface {
 // Server ties the backend to the HTTP mux; tests and the router soak
 // drive it in-process via Mux.
 type Server struct {
-	pool Backend
+	backend Backend
 	// reg is the telemetry registry backing GET /metrics.
 	reg *telemetry.Registry
 	// drainTimeout bounds how long /drainz waits for in-flight jobs.
@@ -91,7 +90,8 @@ type Server struct {
 	limitsMemo map[api.Limits]api.Limits
 }
 
-// Options tunes server construction beyond the required pool/registry.
+// Options tunes server construction beyond the required backend and
+// registry.
 type Options struct {
 	// DrainTimeout bounds how long /drainz waits for in-flight jobs.
 	DrainTimeout time.Duration
@@ -110,17 +110,16 @@ type Options struct {
 	ProgCap int
 }
 
-// New builds a Server over a backend (the exclusive pool or the
-// step-sliced scheduler). reg backs /metrics, drainTimeout bounds
+// New builds a Server over a backend. reg backs /metrics, drainTimeout bounds
 // /drainz, logw (nil to disable) receives per-job structured log lines.
-func New(pool Backend, reg *telemetry.Registry, drainTimeout time.Duration, logw io.Writer) *Server {
-	return NewWithOptions(pool, reg, Options{DrainTimeout: drainTimeout, LogW: logw})
+func New(backend Backend, reg *telemetry.Registry, drainTimeout time.Duration, logw io.Writer) *Server {
+	return NewWithOptions(backend, reg, Options{DrainTimeout: drainTimeout, LogW: logw})
 }
 
 // NewWithOptions builds a Server over a backend with explicit Options.
-func NewWithOptions(pool Backend, reg *telemetry.Registry, opts Options) *Server {
+func NewWithOptions(backend Backend, reg *telemetry.Registry, opts Options) *Server {
 	s := &Server{
-		pool:         pool,
+		backend:      backend,
 		reg:          reg,
 		drainTimeout: opts.DrainTimeout,
 		logw:         opts.LogW,
@@ -368,7 +367,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 	if l := req.Limits; l != nil {
 		// All budget validation — negative rejection, the 24h deadline
 		// cap that used to be an overflow hazard — lives in Normalize;
-		// nothing invalid ever reaches the pool. Results are memoized:
+		// nothing invalid ever reaches the scheduler. Results are memoized:
 		// serving traffic reuses a handful of limit shapes.
 		norm, err := s.normalizeLimits(*l)
 		if err != nil {
@@ -384,7 +383,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 
 	// Program-store resolution. Run-by-reference must find a live entry;
 	// inline v1 sources register read-through (compile once per process,
-	// fall back to worker-side compilation on a compile error so the
+	// fall back to scheduler-side compilation on a compile error so the
 	// error response keeps its pre-store shape). The legacy alias never
 	// touches the store.
 	var prog *progstore.Program
@@ -431,7 +430,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 	// one string compare and the dedup layer vanishes. Keyed requests
 	// single-flight: exactly one concurrent holder of a key executes;
 	// replays (concurrent or later, within the TTL) absorb its recorded
-	// result without touching the pool.
+	// result without touching the scheduler.
 	var entry *dedupEntry
 	if v1 && req.IdempotencyKey != "" {
 	consult:
@@ -463,7 +462,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 		}
 	}
 
-	res := s.pool.Submit(job)
+	res := s.backend.Submit(job)
 	if entry != nil && !res.Class.Executed() {
 		// The job never started (shed): releasing the entry without a
 		// result lets the retry that follows the Retry-After hint be the
@@ -473,7 +472,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, v1 bool) {
 	}
 	if prog != nil && res.Class == supervise.ClassOK && res.ICSeed != nil {
 		// Donate the clean run's quickened shapes; the next run of this
-		// ref — on this worker or a fresh one — starts tier-1-warm.
+		// ref — on a warm Runner or a fresh one — starts tier-1-warm.
 		s.progs.OfferSeed(prog.Ref, res.ICSeed)
 	}
 	s.logJob(id, job, res)
@@ -691,24 +690,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// healthzResponse reports pool occupancy and lifetime counters.
+// healthzResponse reports scheduler occupancy and lifetime counters.
 type healthzResponse struct {
 	Ok    bool            `json:"ok"`
 	Stats supervise.Stats `json:"stats"`
 }
 
-// handleHealthz is pure liveness: 200 while any worker is alive. A
+// handleHealthz is pure liveness: 200 whenever the process answers. A
 // draining node is still alive — conflating "shutting down, stop routing
 // here" with "dead" made routers eject nodes that were gracefully
 // finishing their in-flight work; that signal moved to /v1/readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	ok := st.Workers > 0
-	status := http.StatusOK
-	if !ok {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, healthzResponse{Ok: ok, Stats: st})
+	writeJSON(w, http.StatusOK, healthzResponse{Ok: true, Stats: s.backend.Stats()})
 }
 
 // readyzResponse reports routability and the reason when not ready.
@@ -720,15 +713,12 @@ type readyzResponse struct {
 
 // handleReadyz is readiness: whether this node should receive new work.
 // Not-ready (503, with a Retry-After hint for backoff) while draining or
-// while admission is shedding at the heap watermark; dead (no workers)
-// is also not ready. Routers use this to drain nodes without ejecting
-// them.
+// while admission is shedding at the heap watermark. Routers use this to
+// drain nodes without ejecting them.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
+	st := s.backend.Stats()
 	reason := ""
 	switch {
-	case st.Workers == 0:
-		reason = "no live workers"
 	case st.Draining:
 		reason = "draining"
 	case st.HeapWatermark > 0 && st.HeapReserved >= st.HeapWatermark:
@@ -753,7 +743,7 @@ func (s *Server) handleDrainz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	ok := s.pool.Drain(s.drainTimeout)
+	ok := s.backend.Drain(s.drainTimeout)
 	status := http.StatusOK
 	if !ok {
 		// In-flight jobs outlived the drain window. Tell the caller when
@@ -762,7 +752,7 @@ func (s *Server) handleDrainz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusGatewayTimeout
 		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(s.drainTimeout)))
 	}
-	writeJSON(w, status, drainzResponse{Drained: ok, Stats: s.pool.Stats()})
+	writeJSON(w, status, drainzResponse{Drained: ok, Stats: s.backend.Stats()})
 }
 
 // writeJSONDigested is writeJSON for the /v1/run surface: the body is

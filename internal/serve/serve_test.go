@@ -45,18 +45,18 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func smokeServer(t *testing.T) (*httptest.Server, *supervise.Pool) {
-	ts, pool, _ := metricsServer(t, io.Discard)
-	return ts, pool
+func smokeServer(t *testing.T) (*httptest.Server, *supervise.Sched) {
+	ts, sched, _ := metricsServer(t, io.Discard)
+	return ts, sched
 }
 
 // metricsServer is smokeServer with the telemetry registry exposed and a
 // caller-chosen log sink.
-func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.Pool, *telemetry.Registry) {
+func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.Sched, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	pool := supervise.NewPool(supervise.Config{
-		Workers: 2,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots:   2,
 		Metrics: supervise.NewMetrics(reg),
 		DefaultLimits: interp.Limits{
 			MaxSteps:       10_000_000,
@@ -65,12 +65,12 @@ func metricsServer(t *testing.T, logw io.Writer) (*httptest.Server, *supervise.P
 			MaxOutputBytes: 1 << 20,
 		},
 	})
-	ts := httptest.NewServer(New(pool, reg, 10*time.Second, logw).Mux())
+	ts := httptest.NewServer(New(sched, reg, 10*time.Second, logw).Mux())
 	t.Cleanup(func() {
 		ts.Close()
-		pool.Close()
+		sched.Close()
 	})
-	return ts, pool, reg
+	return ts, sched, reg
 }
 
 func postRun(t *testing.T, ts *httptest.Server, req runRequest) (int, runResponse) {
@@ -93,10 +93,10 @@ func postRun(t *testing.T, ts *httptest.Server, req runRequest) (int, runRespons
 
 // TestSmoke is the CI gate: 50 mixed-mode requests through the HTTP
 // surface — healthy programs, an ordinary Python error, and one request
-// per governor limit class — after which the pool must report zero
-// worker deaths of any kind.
+// per governor limit class — after which the scheduler must report zero
+// poisoned or wedged Runners.
 func TestSmoke(t *testing.T) {
-	ts, pool := smokeServer(t)
+	ts, sched := smokeServer(t)
 
 	type want struct {
 		status int
@@ -164,16 +164,12 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("smoke sent %d requests, want 50", reqs)
 	}
 
-	st := pool.Stats()
-	if st.Poisoned != 0 || st.Wedged != 0 || st.Leaked != 0 {
-		t.Fatalf("smoke run killed workers: %+v", st)
-	}
-	if st.Workers == 0 {
-		t.Fatalf("no live workers after smoke: %+v", st)
+	if st := sched.Stats(); st.Poisoned != 0 || st.Wedged != 0 {
+		t.Fatalf("smoke run poisoned or wedged Runners: %+v", st)
 	}
 }
 
-// TestHealthz: the health endpoint reports live workers and lifetime
+// TestHealthz: the health endpoint reports the slot count and lifetime
 // counters.
 func TestHealthz(t *testing.T) {
 	ts, _ := smokeServer(t)
@@ -294,20 +290,20 @@ func TestReadyz(t *testing.T) {
 // window, the 504 carries a Retry-After hint for the next attempt.
 func TestDrainzTimeoutRetryAfter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	pool := supervise.NewPool(supervise.Config{
-		Workers: 1,
+	sched := supervise.NewSched(supervise.SchedConfig{
+		Slots: 1,
 		DefaultLimits: interp.Limits{
 			MaxSteps: 1 << 40,
 			Deadline: 2 * time.Second,
 		},
 	})
-	ts := httptest.NewServer(New(pool, reg, 50*time.Millisecond, io.Discard).Mux())
+	ts := httptest.NewServer(New(sched, reg, 50*time.Millisecond, io.Discard).Mux())
 	t.Cleanup(func() {
 		ts.Close()
-		pool.Close()
+		sched.Close()
 	})
 
-	// Occupy the only worker past the drain window.
+	// Occupy the only slot past the drain window.
 	started := make(chan struct{})
 	go func() {
 		close(started)
@@ -317,7 +313,7 @@ func TestDrainzTimeoutRetryAfter(t *testing.T) {
 				Deadline: 900 * time.Millisecond}})
 	}()
 	<-started
-	time.Sleep(100 * time.Millisecond) // let the job reach a worker
+	time.Sleep(100 * time.Millisecond) // let the job reach the slot
 
 	resp, err := http.Post(ts.URL+"/drainz", "application/json", nil)
 	if err != nil {
@@ -415,7 +411,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestMetricsEndpoint: after mixed traffic, GET /metrics serves a
 // well-formed Prometheus exposition with job counters by class, latency
-// histograms, and pool gauges.
+// histograms, and scheduler gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, _ := metricsServer(t, io.Discard)
 	for i := 0; i < 3; i++ {
@@ -447,7 +443,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`minipy_jobs_total{class="error"} 1`,
 		"# TYPE minipy_job_run_seconds histogram",
 		`minipy_job_run_seconds_bucket{class="ok",le="+Inf"} 3`,
-		"minipy_pool_workers 2",
+		"# TYPE minipy_sched_running gauge",
+		"minipy_sched_running 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -502,12 +499,12 @@ func TestBreakdownRequest(t *testing.T) {
 }
 
 // TestDeadlineClamp is the overflow regression: a deadlineMs large
-// enough to overflow the ms→ns conversion used to reach the pool as a
-// negative Deadline and make the watchdog condemn the healthy worker
-// mid-job. Normalize rejects it with a 400, the pool never sees it, and
-// follow-up traffic finds the workers intact.
+// enough to overflow the ms→ns conversion used to reach the backend as a
+// negative Deadline and make the watchdog condemn a healthy job mid-run.
+// Normalize rejects it with a 400, the scheduler never sees it, and
+// follow-up traffic is served cleanly.
 func TestDeadlineClamp(t *testing.T) {
-	ts, pool := smokeServer(t)
+	ts, sched := smokeServer(t)
 	for _, deadlineMs := range []int64{
 		1 << 62,               // overflows time.Duration(ms) * time.Millisecond
 		9223372036854775807,   // MaxInt64
@@ -531,12 +528,8 @@ func TestDeadlineClamp(t *testing.T) {
 		t.Fatalf("deadlineMs at cap: %d %s %q", status, out.ExitClass, out.Stdout)
 	}
 
-	st := pool.Stats()
-	if st.Wedged != 0 || st.Poisoned != 0 || st.Restarts != 0 {
-		t.Fatalf("deadline probes condemned workers: %+v", st)
-	}
-	if st.Workers != 2 {
-		t.Fatalf("pool lost workers: %+v", st)
+	if st := sched.Stats(); st.Wedged != 0 || st.Poisoned != 0 {
+		t.Fatalf("deadline probes condemned Runners: %+v", st)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDrainSubmitRace races Drain against a burst of concurrent Submits
-// and asserts the pool's complete-or-shed contract: every job either
+// and asserts the scheduler's complete-or-shed contract: every job either
 // runs to a correct completion (right output, no contamination) or is
 // rejected with a shed classification carrying a retry hint. Nothing may
 // hang, return a malformed class, or report success without the job's
@@ -27,8 +27,8 @@ func TestDrainSubmitRace(t *testing.T) {
 		perG       = 8
 	)
 	for round := 0; round < 4; round++ {
-		pool := NewPool(Config{
-			Workers: 4,
+		sched := NewSched(SchedConfig{
+			Slots: 4,
 			DefaultLimits: interp.Limits{
 				MaxSteps: 10_000_000,
 				Deadline: 5 * time.Second,
@@ -53,7 +53,7 @@ func TestDrainSubmitRace(t *testing.T) {
 					// (another job's stdout) is detectable.
 					n := g*1000 + i
 					src := fmt.Sprintf("total = 0\nfor j in range(20):\n    total = total + j\nprint(total + %d)\n", n)
-					res := pool.Submit(&Job{Name: fmt.Sprintf("race-%d-%d.py", g, i), Src: src})
+					res := sched.Submit(&Job{Name: fmt.Sprintf("race-%d-%d.py", g, i), Src: src})
 					results <- verdict{g, i, res, fmt.Sprintf("%d\n", 190+n)}
 				}
 			}(g)
@@ -62,7 +62,7 @@ func TestDrainSubmitRace(t *testing.T) {
 		// Fire the burst, then drain somewhere in the middle of it.
 		close(start)
 		time.Sleep(time.Duration(round) * 200 * time.Microsecond)
-		drained := pool.Drain(10 * time.Second)
+		drained := sched.Drain(10 * time.Second)
 		if !drained {
 			t.Fatalf("round %d: drain timed out with submitters active", round)
 		}
@@ -102,13 +102,13 @@ func TestDrainSubmitRace(t *testing.T) {
 		}
 
 		// Post-drain quiet state: everything rejected, nothing running.
-		if res := pool.Submit(&Job{Name: "late.py", Src: "print(1)\n"}); res.Class != ClassShed {
+		if res := sched.Submit(&Job{Name: "late.py", Src: "print(1)\n"}); res.Class != ClassShed {
 			t.Fatalf("round %d: post-drain submit class %s, want shed", round, res.Class)
 		}
-		st := pool.Stats()
-		if st.Wedged != 0 || st.Poisoned != 0 || st.Leaked != 0 {
-			t.Fatalf("round %d: drain race condemned workers: %+v", round, st)
+		st := sched.Stats()
+		if st.Wedged != 0 || st.Poisoned != 0 {
+			t.Fatalf("round %d: drain race condemned Runners: %+v", round, st)
 		}
-		pool.Close()
+		sched.Close()
 	}
 }

@@ -14,17 +14,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// metricsPool builds an instrumented pool for telemetry tests.
-func metricsPool(t *testing.T, workers int) (*Pool, *telemetry.Registry) {
+// metricsSched builds an instrumented scheduler for telemetry tests.
+func metricsSched(t *testing.T, slots int) (*Sched, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	pool := NewPool(Config{
-		Workers:       workers,
-		DefaultLimits: testLimits,
-		Metrics:       NewMetrics(reg),
-	})
-	t.Cleanup(pool.Close)
-	return pool, reg
+	return testSched(t, SchedConfig{Slots: slots, Metrics: NewMetrics(reg)}), reg
 }
 
 func scrape(t *testing.T, reg *telemetry.Registry) string {
@@ -36,26 +30,35 @@ func scrape(t *testing.T, reg *telemetry.Registry) string {
 	return buf.String()
 }
 
-// TestPoolMetricsEndToEnd drives an instrumented pool through clean,
-// errored, shed, and breakdown-enabled jobs and checks the scrape: job
+// TestPoolMetricsEndToEnd drives an instrumented scheduler through
+// clean, errored, and breakdown-enabled jobs and checks the scrape: job
 // counters by class, latency histograms, occupancy gauges, and the live
 // overhead-category attribution accumulator.
 func TestPoolMetricsEndToEnd(t *testing.T) {
-	pool, reg := metricsPool(t, 2)
+	s, reg := metricsSched(t, 2)
 
 	for i := 0; i < 5; i++ {
-		if res := pool.Submit(&Job{Name: "ok.py", Src: "print(6 * 7)\n", Mode: runtime.CPython}); res.Class != ClassOK {
+		if res := s.Submit(&Job{Name: "ok.py", Src: "print(6 * 7)\n", Mode: runtime.CPython}); res.Class != ClassOK {
 			t.Fatalf("ok job: %s %s", res.Class, res.Err)
 		}
 	}
-	if res := pool.Submit(&Job{Name: "err.py", Src: "print(nope)\n", Mode: runtime.CPython}); res.Class != ClassError {
+	if res := s.Submit(&Job{Name: "err.py", Src: "print(nope)\n", Mode: runtime.CPython}); res.Class != ClassError {
 		t.Fatalf("err job: %s", res.Class)
 	}
-	if res := pool.Submit(&Job{Name: "bd.py", Src: "print(1 + 2)\n", Mode: runtime.CPython, Breakdown: true}); res.Class != ClassOK {
+	if res := s.Submit(&Job{Name: "bd.py", Src: "print(1 + 2)\n", Mode: runtime.CPython, Breakdown: true}); res.Class != ClassOK {
 		t.Fatalf("breakdown job: %s %s", res.Class, res.Err)
 	}
 
+	// The attribution accumulator is fed after the breakdown job's reply
+	// is delivered; wait for it before asserting on the scrape.
+	cycles := `minipy_overhead_cycles_total{category="execute"} `
 	out := scrape(t, reg)
+	for deadline := time.Now().Add(5 * time.Second); strings.Contains(out, cycles+"0\n"); out = scrape(t, reg) {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	for _, want := range []string{
 		`minipy_jobs_total{class="ok"} 6`,
 		`minipy_jobs_total{class="error"} 1`,
@@ -64,10 +67,11 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 		`minipy_job_run_seconds_count{class="ok"} 6`,
 		`minipy_job_queue_wait_seconds_count{class="ok"} 6`,
 		"# TYPE minipy_job_run_seconds histogram",
-		"# TYPE minipy_pool_workers gauge",
-		"minipy_pool_workers 2",
-		"minipy_pool_queued 0",
-		"minipy_pool_heap_reserved_bytes 0",
+		"# TYPE minipy_sched_running gauge",
+		"minipy_sched_running 0",
+		"minipy_sched_waiting 0",
+		"minipy_sched_resident 0",
+		"minipy_sched_heap_reserved_bytes 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -96,9 +100,9 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 // two paths use separate warm runners that both stay healthy across
 // interleaving.
 func TestBreakdownPlumbing(t *testing.T) {
-	pool, _ := metricsPool(t, 1)
+	s, _ := metricsSched(t, 1)
 	for i := 0; i < 3; i++ {
-		bd := pool.Submit(&Job{Name: "bd.py", Src: "print(sum(range(10)))\n", Mode: runtime.CPython, Breakdown: true})
+		bd := s.Submit(&Job{Name: "bd.py", Src: "print(sum(range(10)))\n", Mode: runtime.CPython, Breakdown: true})
 		if bd.Class != ClassOK || bd.Output != "45\n" {
 			t.Fatalf("breakdown job: %s %q %s", bd.Class, bd.Output, bd.Err)
 		}
@@ -108,7 +112,7 @@ func TestBreakdownPlumbing(t *testing.T) {
 		if bd.Breakdown.Percent(0) < 0 { // sanity: shares are well-formed
 			t.Fatalf("negative share")
 		}
-		plain := pool.Submit(&Job{Name: "ok.py", Src: "print(6 * 7)\n", Mode: runtime.CPython})
+		plain := s.Submit(&Job{Name: "ok.py", Src: "print(6 * 7)\n", Mode: runtime.CPython})
 		if plain.Class != ClassOK || plain.Output != "42\n" {
 			t.Fatalf("plain job: %s %q", plain.Class, plain.Output)
 		}
@@ -118,7 +122,7 @@ func TestBreakdownPlumbing(t *testing.T) {
 	}
 	// A breakdown job in a JIT mode exercises the attributed runner's
 	// compiled phases too.
-	jit := pool.Submit(&Job{
+	jit := s.Submit(&Job{
 		Name: "jit.py",
 		Src:  "acc = 0\nfor i in xrange(3000):\n    acc = acc + i\nprint(acc)\n",
 		Mode: runtime.PyPyJIT, Breakdown: true,
@@ -126,18 +130,18 @@ func TestBreakdownPlumbing(t *testing.T) {
 	if jit.Class != ClassOK || jit.Breakdown == nil {
 		t.Fatalf("jit breakdown job: %s %s", jit.Class, jit.Err)
 	}
-	st := pool.Stats()
+	st := s.Stats()
 	if st.Poisoned != 0 || st.Wedged != 0 {
-		t.Fatalf("breakdown traffic hurt workers: %+v", st)
+		t.Fatalf("breakdown traffic hurt Runners: %+v", st)
 	}
 }
 
-// TestMetricsConcurrentScrapes hammers an instrumented pool from
+// TestMetricsConcurrentScrapes hammers an instrumented scheduler from
 // parallel submitters while scraping continuously: the -race gate for
-// the pool↔telemetry integration, and a monotonicity check on the
+// the scheduler↔telemetry integration, and a monotonicity check on the
 // scraped job counter.
 func TestMetricsConcurrentScrapes(t *testing.T) {
-	pool, reg := metricsPool(t, 4)
+	s, reg := metricsSched(t, 4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -161,7 +165,7 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				pool.Submit(&Job{Name: "c.py", Src: "print(1)\n", Mode: runtime.CPython})
+				s.Submit(&Job{Name: "c.py", Src: "print(1)\n", Mode: runtime.CPython})
 			}
 		}()
 	}
@@ -174,7 +178,7 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	// stop, so wait for submit traffic by polling the counter.
 	deadline := time.After(30 * time.Second)
 	for {
-		st := pool.Stats()
+		st := s.Stats()
 		if st.Submitted >= 100 && st.Idle == st.Workers {
 			break
 		}
@@ -197,10 +201,9 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 // regression: per-job deadlines that are huge (the multiply in the
 // watchdog derivation would overflow) or negative (bypassing the "zero
 // means default" inheritance) must not produce an already-expired
-// watchdog that condemns a healthy worker.
+// watchdog that declares a healthy job wedged.
 func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
-	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
-	defer pool.Close()
+	s := testSched(t, SchedConfig{Slots: 1})
 
 	for _, tc := range []struct {
 		name     string
@@ -218,10 +221,10 @@ func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
 			Limits: interp.Limits{Deadline: tc.deadline},
 		}
 		// The derived watchdog must be strictly positive and generous.
-		if wd := pool.watchdog(job); wd <= 0 {
+		if wd := s.jobWatchdog(s.effectiveLimits(job)); wd <= 0 {
 			t.Fatalf("%s: watchdog %v not positive", tc.name, wd)
 		}
-		res := pool.Submit(job)
+		res := s.Submit(job)
 		if tc.deadline == time.Nanosecond {
 			// A 1ns deadline is legitimate and trips instantly — but as
 			// a classified timeout, not a wedge.
@@ -235,21 +238,16 @@ func TestWatchdogSurvivesExtremeDeadlines(t *testing.T) {
 		}
 	}
 
-	st := pool.Stats()
-	if st.Wedged != 0 || st.Poisoned != 0 || st.Leaked != 0 || st.Restarts != 0 {
-		t.Fatalf("extreme deadlines condemned workers: %+v", st)
-	}
-	if st.Workers != 1 {
-		t.Fatalf("pool lost its worker: %+v", st)
+	if st := s.Stats(); st.Wedged != 0 || st.Poisoned != 0 {
+		t.Fatalf("extreme deadlines condemned Runners: %+v", st)
 	}
 }
 
 // TestEffectiveLimitsDefendNonPositive: non-positive per-job deadline
-// and recursion depth fall back to the pool defaults.
+// and recursion depth fall back to the scheduler defaults.
 func TestEffectiveLimitsDefendNonPositive(t *testing.T) {
-	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
-	defer pool.Close()
-	l := pool.effectiveLimits(&Job{Limits: interp.Limits{
+	s := testSched(t, SchedConfig{Slots: 1})
+	l := s.effectiveLimits(&Job{Limits: interp.Limits{
 		Deadline:          -5 * time.Second,
 		MaxRecursionDepth: -3,
 	}})
@@ -263,20 +261,19 @@ func TestEffectiveLimitsDefendNonPositive(t *testing.T) {
 }
 
 // TestFireFaultUnfaultedPool is the nil-injector regression: probing any
-// fault kind on a pool with no injector configured must be a safe no-op
-// (and must not touch the pool mutex — jobs exercise this on their hot
-// path twice per job).
+// fault kind on a scheduler with no injector configured must be a safe
+// no-op (and must not touch the scheduler mutex — every job probes once
+// on its hot path).
 func TestFireFaultUnfaultedPool(t *testing.T) {
-	pool := NewPool(Config{Workers: 1, DefaultLimits: testLimits})
-	defer pool.Close()
+	s := testSched(t, SchedConfig{Slots: 1})
 	for k := faults.Kind(0); k < faults.NumKinds; k++ {
-		if pool.fireFault(k) {
-			t.Fatalf("unfaulted pool fired %s", k)
+		if s.fireFault(k) {
+			t.Fatalf("unfaulted scheduler fired %s", k)
 		}
 	}
-	// And a full job exercises both in-tree probe sites (job start wedge
-	// probe, post-job leak probe).
-	if res := pool.Submit(&Job{Name: "f.py", Src: "print(1)\n", Mode: runtime.CPython}); res.Class != ClassOK {
-		t.Fatalf("job on unfaulted pool: %s %s", res.Class, res.Err)
+	// And a full job exercises the in-tree probe site (the first-slice
+	// wedge probe).
+	if res := s.Submit(&Job{Name: "f.py", Src: "print(1)\n", Mode: runtime.CPython}); res.Class != ClassOK {
+		t.Fatalf("job on unfaulted scheduler: %s %s", res.Class, res.Err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // limitTrips is the satellite matrix: one hostile program per governor
-// limit, each expected to surface through the supervisor as its
+// limit, each expected to surface through the scheduler as its
 // dedicated class with the pyrun exit code preserved.
 var limitTrips = []struct {
 	name   string
@@ -57,15 +57,15 @@ var limitTrips = []struct {
 }
 
 // TestLimitTripClassesAllModes runs every limit-trip program in every
-// runtime mode through one shared pool: the supervisor must classify
-// each trip correctly (preserving the pyrun exit-code mapping), must not
-// poison the worker over an expected limit trip, and the worker must
-// serve a correct result immediately afterwards.
+// runtime mode through one shared scheduler: it must classify each trip
+// correctly (preserving the pyrun exit-code mapping), must not poison
+// the Runner over an expected limit trip, and must serve a correct
+// result immediately afterwards.
 func TestLimitTripClassesAllModes(t *testing.T) {
 	// The generous backstop deadline keeps wall-clock out of the
 	// picture (the -race detector slows the alloc-bomb well past 2s);
 	// each case's own limit is the outcome-decider.
-	p := testPool(t, Config{Workers: 1,
+	p := testSched(t, SchedConfig{Slots: 1,
 		DefaultLimits: interp.Limits{Deadline: 30 * time.Second}})
 	for m := runtime.Mode(0); m < runtime.NumModes; m++ {
 		for _, tc := range limitTrips {
@@ -84,14 +84,14 @@ func TestLimitTripClassesAllModes(t *testing.T) {
 				}
 				after := p.Submit(&Job{Name: "probe.py", Src: "print(6 * 7)\n", Mode: m})
 				if after.Class != ClassOK || after.Output != "42\n" {
-					t.Fatalf("worker unusable after %s: class %s output %q err %q",
+					t.Fatalf("scheduler unusable after %s: class %s output %q err %q",
 						tc.name, after.Class, after.Output, after.Err)
 				}
 			})
 		}
 	}
 	if s := p.Stats(); s.Poisoned != 0 || s.Wedged != 0 {
-		t.Fatalf("limit trips must not poison or wedge workers: %+v", s)
+		t.Fatalf("limit trips must not poison or wedge Runners: %+v", s)
 	}
 }
 
@@ -111,8 +111,8 @@ print(work(10000000))
 
 // TestJITErrorDeoptMidTraceThroughPool: in the JIT modes, a step budget
 // chosen to trip well after the hot-loop threshold fires inside compiled
-// code. The supervisor must still see a clean ClassTimeout (exit 4), the
-// deopt must not poison the worker, and a control run at the runtime
+// code. The scheduler must still see a clean ClassTimeout (exit 4), the
+// deopt must not poison the Runner, and a control run at the runtime
 // layer confirms the trip really was an error-forced deopt mid-trace.
 func TestJITErrorDeoptMidTraceThroughPool(t *testing.T) {
 	for _, m := range []runtime.Mode{runtime.PyPyJIT, runtime.V8Like} {
@@ -137,8 +137,8 @@ func TestJITErrorDeoptMidTraceThroughPool(t *testing.T) {
 				t.Fatalf("budget tripped outside compiled code: %v", err)
 			}
 
-			// Through the pool: same trip, supervised.
-			p := testPool(t, Config{Workers: 1,
+			// Through the scheduler: same trip, supervised.
+			p := testSched(t, SchedConfig{Slots: 1,
 				DefaultLimits: interp.Limits{Deadline: 5 * time.Second}})
 			res := p.Submit(&Job{Name: "hot.py", Src: hotTripSrc, Mode: m,
 				Limits: interp.Limits{MaxSteps: budget}})
@@ -146,16 +146,16 @@ func TestJITErrorDeoptMidTraceThroughPool(t *testing.T) {
 				t.Fatalf("class %s exit %d (%q), want timeout/4",
 					res.Class, res.Class.ExitCode(), res.Err)
 			}
-			// The deopt left the worker healthy: it runs the same hot
+			// The deopt left the Runner healthy: it runs the same hot
 			// function to completion when the budget allows.
 			okSrc := "def work(n):\n    acc = 0\n    i = 0\n    while i < n:\n        acc = acc + i\n        i = i + 1\n    return acc\nprint(work(5000))\n"
 			after := p.Submit(&Job{Name: "hot-ok.py", Src: okSrc, Mode: m})
 			if after.Class != ClassOK || after.Output != "12497500\n" {
-				t.Fatalf("worker unusable after mid-trace deopt: class %s output %q err %q",
+				t.Fatalf("scheduler unusable after mid-trace deopt: class %s output %q err %q",
 					after.Class, after.Output, after.Err)
 			}
 			if s := p.Stats(); s.Poisoned != 0 {
-				t.Fatalf("error deopt poisoned the worker: %+v", s)
+				t.Fatalf("error deopt poisoned the Runner: %+v", s)
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSharedQuickenedCode: one precompiled code object executed
-// concurrently by every worker in the pool. Quickened instruction
+// concurrently in every scheduler slot. Quickened instruction
 // streams and inline-cache slots are per-VM state; the shared
 // *pycode.Code must stay immutable, or the race detector (CI's -race
 // leg) and the output comparison below catch it.
@@ -34,10 +34,7 @@ print(a.total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 32 concurrent jobs each reserve the default heap budget; raise the
-	// admission watermark so none shed — this test is about sharing, not
-	// admission control.
-	p := testPool(t, Config{Workers: 4, QueueDepth: 64, HeapWatermark: 8 << 30})
+	p := testSched(t, SchedConfig{Slots: 4})
 
 	const jobs = 32
 	var wg sync.WaitGroup
@@ -62,11 +59,11 @@ print(a.total)
 		hits += res.IC.Hits()
 	}
 	if hits == 0 {
-		t.Fatal("no IC hits across shared-code jobs; quickening not active in the pool")
+		t.Fatal("no IC hits across shared-code jobs; quickening not active in the scheduler")
 	}
 	st := p.Stats()
 	if st.Poisoned != 0 || st.Wedged != 0 {
-		t.Fatalf("shared-code traffic condemned workers: %+v", st)
+		t.Fatalf("shared-code traffic condemned Runners: %+v", st)
 	}
 }
 
@@ -76,7 +73,7 @@ print(a.total)
 // global and reassigns a method mid-run (forcing guard invalidation and
 // de-fusion of superinstructions). All of that state — poly stub
 // chains, fused instruction copies, de-quickening rewrites — is per-VM;
-// 32 jobs on 4 workers sharing one *pycode.Code must never see each
+// 32 jobs on 4 slots sharing one *pycode.Code must never see each
 // other's rewrites. CI's -race leg runs this via the
 // TestSharedQuickenedCode prefix.
 func TestSharedQuickenedCodePolyFused(t *testing.T) {
@@ -117,7 +114,7 @@ print(objs[0].v + objs[1].v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := testPool(t, Config{Workers: 4, QueueDepth: 64, HeapWatermark: 8 << 30})
+	p := testSched(t, SchedConfig{Slots: 4})
 
 	const jobs = 32
 	var wg sync.WaitGroup
@@ -157,6 +154,6 @@ print(objs[0].v + objs[1].v)
 		jobs, poly, fused, defused, invalidations)
 	st := p.Stats()
 	if st.Poisoned != 0 || st.Wedged != 0 {
-		t.Fatalf("shared-code traffic condemned workers: %+v", st)
+		t.Fatalf("shared-code traffic condemned Runners: %+v", st)
 	}
 }

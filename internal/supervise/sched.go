@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,16 +12,15 @@ import (
 	"repro/internal/runtime"
 )
 
-// Sched is the continuous-batching scheduler: the step-sliced alternative
-// to Pool's exclusive worker ownership. Jobs are admitted into per-lane,
-// per-tenant queues and granted execution slots one step-quantum at a
-// time; at each quantum boundary the VM's governor calls back into the
-// scheduler (interp.VM.SetYield), which may park the job's goroutine —
-// Python frame stack and governor state stay live in the VM, no Go-stack
-// capture — and grant the slot to another job. An over-budget job is
-// preempted back to its queue, never condemned: preemption is a
-// scheduling decision, condemnation is a health verdict, and the two
-// paths never mix.
+// Sched is the continuous-batching scheduler that executes every served
+// job. Jobs are admitted into per-lane, per-tenant queues and granted
+// execution slots one step-quantum at a time; at each quantum boundary
+// the VM's governor calls back into the scheduler (interp.VM.SetYield),
+// which may park the job's goroutine — Python frame stack and governor
+// state stay live in the VM, no Go-stack capture — and grant the slot to
+// another job. An over-budget job is preempted back to its queue, never
+// condemned: preemption is a scheduling decision, condemnation is a
+// health verdict, and the two paths never mix.
 //
 // Invariants:
 //
@@ -69,8 +69,7 @@ type Sched struct {
 // SchedConfig parameterizes a Sched. Zero values take the documented
 // defaults.
 type SchedConfig struct {
-	// Slots is how many jobs execute concurrently (default 4) — the
-	// sliced analogue of Pool's Workers.
+	// Slots is how many jobs execute concurrently (default 4).
 	Slots int
 	// QuantumSteps is the preemption granularity: a running job reaches
 	// a yield point every this many bytecodes (default 50k, ~sub-ms).
@@ -91,22 +90,19 @@ type SchedConfig struct {
 	HeapWatermark uint64
 	// RecycleAfter retires a Runner after this many jobs (default 256).
 	RecycleAfter int
-	// DefaultLimits fills any zero field of a job's Limits (Deadline
-	// defaults to 5s, like Pool: the wedge horizon derives from it).
+	// DefaultLimits fills any zero field of a job's Limits. Deadline
+	// defaults to 5s: a scheduled job always has a wall-clock bound, or
+	// the wedge horizon could not be derived.
 	DefaultLimits interp.Limits
-	// WedgeFactor and WedgeSlack derive the per-job wedge horizon: a
-	// granted job that neither yields nor finishes within
-	// deadline*WedgeFactor + WedgeSlack is declared wedged (defaults 2
-	// and 250ms).
-	WedgeFactor int
-	WedgeSlack  time.Duration
+	// WedgeSlack pads the per-job wedge horizon: a granted job that
+	// neither yields nor finishes within deadline*wedgeFactor +
+	// WedgeSlack is declared wedged (default 250ms).
+	WedgeSlack time.Duration
 	// MaintInterval paces the wedge scan (default 25ms).
 	MaintInterval time.Duration
 	// Faults, when non-nil, injects scheduler-layer chaos (WorkerWedge
 	// stalls a job's first slice past the wedge horizon).
 	Faults *faults.Injector
-	// VMFaults, when non-nil, builds a per-job VM-layer injector.
-	VMFaults func(job *Job) *faults.Injector
 	// Metrics, when non-nil, mirrors scheduler activity into telemetry.
 	Metrics *Metrics
 }
@@ -138,9 +134,6 @@ func (c *SchedConfig) setDefaults() {
 	}
 	if c.DefaultLimits.Deadline == 0 {
 		c.DefaultLimits.Deadline = 5 * time.Second
-	}
-	if c.WedgeFactor <= 0 {
-		c.WedgeFactor = 2
 	}
 	if c.WedgeSlack <= 0 {
 		c.WedgeSlack = 250 * time.Millisecond
@@ -222,22 +215,41 @@ func NewSched(cfg SchedConfig) *Sched {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Metrics != nil {
-		s.registerSchedGauges(cfg.Metrics)
+		s.registerGauges(cfg.Metrics)
 	}
 	go s.maintain()
 	return s
 }
 
+// effectiveLimits resolves a job's budgets against the scheduler
+// defaults via the canonical api.Limits.WithDefaults. The result always
+// has a positive Deadline when the default does: a non-positive per-job
+// deadline (including one produced by an integer overflow upstream)
+// falls back to the default rather than poisoning the wedge-horizon
+// derivation, where a negative deadline would declare a healthy job
+// wedged on the next scan.
 func (s *Sched) effectiveLimits(job *Job) interp.Limits {
 	return job.Limits.WithDefaults(s.cfg.DefaultLimits)
 }
 
-// jobWatchdog mirrors Pool.watchdog: saturating, never condemning on
-// overflow.
+// wedgeFactor scales a job's deadline into its wedge horizon.
+const wedgeFactor = 2
+
+// maxWatchdog caps the wedge horizon when the multiply below would
+// overflow. A day-long horizon is already "never" for a served job; the
+// point is that the cap is large and positive, not precise.
+const maxWatchdog = 24 * time.Hour
+
+// jobWatchdog is how long a granted job may go without yielding or
+// finishing before the scan declares it wedged: a multiple of the job's
+// own wall-clock budget plus slack, so a healthy limit trip always beats
+// it. The arithmetic saturates: an enormous (but valid) deadline must
+// degrade to a distant horizon, never wrap negative and condemn the job
+// on the spot.
 func (s *Sched) jobWatchdog(l interp.Limits) time.Duration {
 	d := l.Deadline
-	wd := d * time.Duration(s.cfg.WedgeFactor)
-	if wd/time.Duration(s.cfg.WedgeFactor) != d || wd <= 0 || wd > maxWatchdog {
+	wd := d * wedgeFactor
+	if wd/wedgeFactor != d || wd <= 0 || wd > maxWatchdog {
 		wd = maxWatchdog
 	}
 	if wd += s.cfg.WedgeSlack; wd <= 0 {
@@ -516,14 +528,10 @@ func (s *Sched) execute(j *schedJob) *JobResult {
 	j.sr = sr
 	r := sr.r
 	r.SetLimits(j.limits)
-	if f := s.cfg.VMFaults; f != nil {
-		r.SetFaults(f(j.job))
-	} else {
-		r.SetFaults(nil)
-	}
 	r.SetYield(s.cfg.QuantumSteps, func() time.Duration { return s.yield(j) })
-	// Warm-start plumbing, mirroring worker.execute: arm the job's seed
-	// (nil disarms the previous job's) and the export opt-in.
+	// Warm-start plumbing: arm the job's seed (nil disarms the previous
+	// job's, which would otherwise bind to this program) and the export
+	// opt-in.
 	r.SetICSeed(j.job.ICSeed)
 	r.SetCollectICSeed(j.job.CollectICSeed)
 
@@ -596,8 +604,12 @@ func (s *Sched) finish(j *schedJob, res *JobResult) {
 		j.reply <- res
 	}
 
-	// Runner disposition, off every job's latency path. An abandoned
-	// job's Runner is untrusted by construction (it was wedged).
+	// Live attribution accounting and Runner disposition, off every
+	// job's latency path. An abandoned job's Runner is untrusted by
+	// construction (it was wedged).
+	if !abandoned {
+		s.cfg.Metrics.observeBreakdown(res.Breakdown)
+	}
 	sr := j.sr
 	if sr == nil {
 		return
@@ -618,7 +630,6 @@ func (s *Sched) finish(j *schedJob, res *JobResult) {
 		return
 	}
 	sr.r.SetYield(0, nil)
-	sr.r.SetFaults(nil)
 	sr.r.Reset()
 	s.putRunner(j.job.Mode, j.job.Breakdown, sr)
 }
@@ -636,12 +647,37 @@ func (s *Sched) dropRunner(ev int) {
 	s.cfg.Metrics.event(ev)
 }
 
+// healthProbe audits a completed run's heap statistics: refcount balance
+// and free/allocation accounting. A Runner whose bookkeeping went bad is
+// dropped even when the job's output looked fine.
+func healthProbe(res *runtime.Result) string {
+	h := res.Heap
+	if h.BadDecrefs != 0 {
+		return fmt.Sprintf("%d decrefs hit an object with RC <= 0", h.BadDecrefs)
+	}
+	if h.Decrefs > h.Increfs+h.Allocations {
+		return fmt.Sprintf("refcount imbalance: %d decrefs > %d increfs + %d allocations",
+			h.Decrefs, h.Increfs, h.Allocations)
+	}
+	if h.Frees > h.Allocations+h.PayloadAllocs {
+		return fmt.Sprintf("free accounting: %d frees > %d allocations + %d payload allocs",
+			h.Frees, h.Allocations, h.PayloadAllocs)
+	}
+	if h.MajorGCs > h.MinorGCs {
+		return fmt.Sprintf("gc accounting: %d major GCs > %d minor GCs", h.MajorGCs, h.MinorGCs)
+	}
+	return ""
+}
+
+// canarySrc is the health probe run after a job errors: a Runner that
+// cannot produce "42" from pristine state is dropped.
+const canarySrc = "print(6 * 7)\n"
+
 // canaryRunner reruns the canary program from pristine state on a Runner
 // whose last job errored (an aborted run yields no statistics to probe).
 func canaryRunner(r *runtime.Runner) string {
 	r.SetYield(0, nil)
 	r.SetLimits(interp.Limits{MaxSteps: 100_000, Deadline: 5 * time.Second})
-	r.SetFaults(nil)
 	r.SetICSeed(nil)
 	r.SetCollectICSeed(false)
 	res, err := r.Run("canary.py", canarySrc)
@@ -843,9 +879,9 @@ func (s *Sched) Close() {
 	<-s.maintDone
 }
 
-// Stats returns a snapshot in Pool's Stats shape, so the serving layer's
-// healthz/readyz logic works unchanged: Workers is the slot count, Idle
-// the free slots, Queued the jobs waiting for a grant.
+// Stats returns a snapshot of the counters and current occupancy:
+// Workers is the slot count, Idle the free slots, Queued the jobs
+// waiting for a grant.
 func (s *Sched) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

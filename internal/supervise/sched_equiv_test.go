@@ -8,9 +8,9 @@ package supervise
 // class, and (for clean runs) the net reference-count balance
 // (Increfs + Allocations - Decrefs). Two granularities are covered:
 // runner-level (a single Runner with a forced-parking yield hook vs the
-// same Runner without) and sched-level (the step-sliced Sched vs the
-// exclusive Pool, end to end, with preemption churn from concurrent
-// load). Deadline trips are the one excluded class: they are
+// same Runner without) and sched-level (the step-sliced Sched vs a fresh
+// unsliced Runner per program, end to end, with preemption churn from
+// concurrent load). Deadline trips are the one excluded class: they are
 // timing-dependent by definition, so the deterministic limit programs
 // below pin the step-budget, recursion, and output-limit classes
 // instead.
@@ -214,12 +214,13 @@ func TestSlicedEquivLimitClasses(t *testing.T) {
 	}
 }
 
-// TestSchedPoolEquivCorpus is the end-to-end leg: every corpus program
-// through the exclusive Pool and through a step-sliced Sched (small
-// quantum, fewer slots than jobs, so grants interleave and preemption
-// actually happens), all four runtime modes. Output, class, exception,
-// and bytecode counts must be identical.
-func TestSchedPoolEquivCorpus(t *testing.T) {
+// TestSchedRefEquivCorpus is the end-to-end leg: every corpus program
+// through a step-sliced Sched (small quantum, fewer slots than jobs, so
+// grants interleave and preemption actually happens) and through
+// ReferenceRun — a fresh, unsliced Runner per program and mode — in all
+// four runtime modes. Output, class, exception, and bytecode counts must
+// be identical.
+func TestSchedRefEquivCorpus(t *testing.T) {
 	corpus, err := difftest.LoadCorpus("../difftest/corpus")
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +230,6 @@ func TestSchedPoolEquivCorpus(t *testing.T) {
 	}
 	limits := equivLimits()
 
-	pool := NewPool(Config{Workers: 2, DefaultLimits: limits})
-	defer pool.Close()
 	sched := NewSched(SchedConfig{
 		Slots:         2,
 		QuantumSteps:  2000,
@@ -243,41 +242,40 @@ func TestSchedPoolEquivCorpus(t *testing.T) {
 		name string
 		mode runtime.Mode
 	}
-	poolRes := map[key]*JobResult{}
-	var mu sync.Mutex
+	// Reference legs first (serial keeps it simple); the sliced legs
+	// below run concurrently to force preemption.
+	refs := map[key]*JobResult{}
+	for name, src := range corpus {
+		for mode := runtime.Mode(0); mode < runtime.NumModes; mode++ {
+			refs[key{name, mode}] = ReferenceRun(name, src, mode, limits)
+		}
+	}
 	var wg sync.WaitGroup
 	for name, src := range corpus {
 		for mode := runtime.Mode(0); mode < runtime.NumModes; mode++ {
-			// Exclusive reference leg first (serial keeps it simple);
-			// the sliced legs below run concurrently to force preemption.
-			res := pool.Submit(&Job{Name: name, Src: src, Mode: mode})
-			poolRes[key{name, mode}] = res
-		}
-	}
-	for name, src := range corpus {
-		for mode := runtime.Mode(0); mode < runtime.NumModes; mode++ {
 			name, src, mode := name, src, mode
+			want := refs[key{name, mode}]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				res := sched.Submit(&Job{Name: name, Src: src, Mode: mode})
-				mu.Lock()
-				defer mu.Unlock()
-				want := poolRes[key{name, mode}]
 				if res.Class != want.Class || res.Err != want.Err {
-					t.Errorf("%s/%v: sched (%v, %q) vs pool (%v, %q)",
+					t.Errorf("%s/%v: sched (%v, %q) vs reference (%v, %q)",
 						name, mode, res.Class, res.Err, want.Class, want.Err)
 				}
 				if res.Output != want.Output {
-					t.Errorf("%s/%v: sched output diverged from pool\n--- pool ---\n%s--- sched ---\n%s",
+					t.Errorf("%s/%v: sched output diverged from reference\n--- reference ---\n%s--- sched ---\n%s",
 						name, mode, want.Output, res.Output)
 				}
 				if res.Bytecodes != want.Bytecodes {
-					t.Errorf("%s/%v: sched ran %d bytecodes, pool %d",
+					t.Errorf("%s/%v: sched ran %d bytecodes, reference %d",
 						name, mode, res.Bytecodes, want.Bytecodes)
 				}
 			}()
 		}
 	}
 	wg.Wait()
+	if sched.Stats().Preempted == 0 {
+		t.Error("corpus ran on 2 slots at a 2000-step quantum without a single preemption")
+	}
 }

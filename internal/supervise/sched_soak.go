@@ -14,11 +14,10 @@ import (
 
 // SchedSoakConfig parameterizes the scheduler-chaos soak: a mixed
 // long/short workload submitted concurrently to a step-sliced Sched at
-// a small quantum (so preemption fires constantly), each executed
-// result diffed against a fresh, unsupervised reference Runner. This is
-// the interleaving analogue of the pool soak: where the pool soak
-// proves supervision faults don't cross-contaminate jobs, this proves
-// arbitrary park/resume interleavings don't either.
+// a small quantum (so preemption fires constantly) while injected wedges
+// fire, each executed result diffed against a fresh, unsupervised
+// reference Runner. It proves that neither supervision faults nor
+// arbitrary park/resume interleavings cross-contaminate jobs.
 type SchedSoakConfig struct {
 	Seed uint64
 	Jobs int
@@ -32,16 +31,60 @@ type SchedSoakConfig struct {
 	// WedgeEveryN arms the supervision-fault injector: every Nth
 	// granted job stalls past the wedge horizon (0 disables).
 	WedgeEveryN uint64
-	// Limits are the per-job budgets; the zero value takes the pool
-	// soak's defaults (deterministic step budget decides outcomes).
+	// Limits are the per-job budgets; the zero value takes soak defaults
+	// (the deterministic step budget decides outcomes).
 	Limits interp.Limits
 	// Metrics, when non-nil, instruments the soak scheduler.
 	Metrics *Metrics
 }
 
+// SoakResult is the soak verdict: the scheduler's closing statistics and
+// every oracle violation found.
+type SoakResult struct {
+	Jobs       int
+	Violations []string
+	Stats      Stats
+}
+
+// Ok reports whether the soak finished without an oracle violation.
+func (r *SoakResult) Ok() bool { return len(r.Violations) == 0 }
+
+// ReferenceRun executes one job on a fresh single-use Runner, outside
+// the scheduler, with the same limits — the contamination-free baseline
+// the scheduler-chaos soak, the equivalence suite and the load
+// generator's corpus stamping diff served results against.
+func ReferenceRun(name, src string, mode runtime.Mode, lim interp.Limits) *JobResult {
+	rc := runtime.ServingConfig(mode)
+	rc.Limits = lim
+	jr := &JobResult{Mode: mode, Worker: -1}
+	r, err := runtime.NewRunner(rc)
+	if err != nil {
+		jr.Class = ClassError
+		jr.Err = err.Error()
+		return jr
+	}
+	out, err := r.Run(name, src)
+	jr.Class = Classify(err)
+	if err != nil {
+		jr.Err = err.Error()
+		return jr
+	}
+	jr.Output = out.Output
+	jr.Bytecodes = out.VM.Bytecodes
+	return jr
+}
+
+// clip bounds an output string for violation messages.
+func clip(s string) string {
+	if len(s) > 160 {
+		return s[:160] + "..."
+	}
+	return s
+}
+
 // SchedSoak runs the scheduler-chaos soak. The scheduler's contract,
 // asserted per job: every Submit returns a well-formed class; a ClassOK
-// result matches a fresh exclusive reference run bit-for-bit (no
+// result matches a fresh unsliced reference run bit-for-bit (no
 // interleaving divergence, no cross-job contamination); errored results
 // never carry another job's output; and under a forced-preemption
 // shape, preemptions actually happened (a soak that never preempted

@@ -191,7 +191,7 @@ func (r *Registry) CounterVec(name, help, label string, values []string) *Counte
 
 // GaugeFunc registers a point-in-time gauge evaluated at scrape time.
 // The callback runs on the scrape path only, so it may take locks (e.g.
-// snapshotting pool occupancy under the pool mutex).
+// snapshotting scheduler occupancy under the scheduler mutex).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, &gaugeFam{name: name, help: help, fn: fn})
 }
