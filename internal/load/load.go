@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,16 +100,22 @@ type Report struct {
 	Throughput  float64 `json:"throughputRps"`
 	Latency     Latency `json:"latency"`
 
-	// Outcomes counts requests by terminal classification: "ok",
-	// "python_error" (the program's own error, still a correct serve),
-	// "shed", "no_backends", "retry_budget_exhausted" (budgeted),
-	// "upstream_error", "http_<code>", "transport_error" (unbudgeted).
+	// Outcomes counts requests by terminal classification. Served
+	// verdicts, checked against the reference: "ok", "python_error"
+	// (the program's own error, still a correct serve), and the
+	// deterministic limit trips "step_limit", "memory", "recursion",
+	// "output-limit", "internal". Failures: "shed", "no_backends",
+	// "retry_budget_exhausted" (budgeted); "timeout", "wedged" (the
+	// server ran out of wall-clock time), "upstream_error",
+	// "http_<code>", "transport_error" (unbudgeted).
 	Outcomes map[string]int `json:"outcomes"`
 
 	// Verified counts responses checked against a fresh-runner
-	// expectation; WrongAnswers counts the ones that disagreed.
-	Verified     int `json:"verified"`
-	WrongAnswers int `json:"wrongAnswers"`
+	// expectation; WrongAnswers counts the ones that disagreed, and
+	// Mismatches keeps the first few of them for debugging.
+	Verified     int        `json:"verified"`
+	WrongAnswers int        `json:"wrongAnswers"`
+	Mismatches   []Mismatch `json:"mismatches,omitempty"`
 
 	// Exactly-once accounting (IdempotencyKeys runs only).
 	// DedupedReplies counts 200s served from a backend's dedup cache —
@@ -137,11 +144,54 @@ func budgeted(outcome string) bool {
 	return false
 }
 
-// failure reports whether outcome is a failure at all ("ok" and
-// "python_error" are correct serves).
+// failure reports whether outcome is a failure at all, as opposed to a
+// served verdict the reference can confirm or refute. A wall-clock trip
+// is a failure: on a loaded host it says the server ran out of time,
+// not that the program has a different answer, so it counts against the
+// error budget and never as a wrong answer. The deterministic limit
+// trips stay verdicts: a reference that finished under the same budgets
+// proves them wrong.
 func failure(outcome string) bool {
-	return outcome != "ok" && outcome != "python_error"
+	switch outcome {
+	case "ok", "python_error", "step_limit", "memory", "recursion", "output-limit", "internal":
+		return false
+	}
+	return true
 }
+
+// deadlineMsg marks the wall-clock TimeoutError in a result's error
+// text; the step-budget TimeoutError shares the "timeout" exit class.
+const deadlineMsg = "execution deadline of"
+
+// exitOutcome maps a served result's exit class to its outcome label.
+func exitOutcome(res *api.RunResultV1) string {
+	switch res.ExitClass {
+	case "ok":
+		return "ok"
+	case "error":
+		return "python_error"
+	case "timeout":
+		if strings.Contains(res.Error, deadlineMsg) {
+			return "timeout"
+		}
+		return "step_limit"
+	}
+	return res.ExitClass
+}
+
+// Mismatch is one wrong answer: the program, the outcome its reference
+// predicts, what was served, and the served result's error text and
+// digest header (empty when the response carried none).
+type Mismatch struct {
+	Program string `json:"program"`
+	Want    string `json:"want"`
+	Got     string `json:"got"`
+	Error   string `json:"error,omitempty"`
+	Digest  string `json:"digest,omitempty"`
+}
+
+// maxMismatches caps Report.Mismatches.
+const maxMismatches = 8
 
 // Run drives cfg.Requests requests and aggregates the report.
 func Run(cfg Config) (*Report, error) {
@@ -198,6 +248,7 @@ func Run(cfg Config) (*Report, error) {
 		lats             []time.Duration
 		outcomes         = make(map[string]int)
 		verified, wrong  int
+		mismatches       []Mismatch
 		deduped, dupExec int
 	)
 
@@ -233,6 +284,12 @@ func Run(cfg Config) (*Report, error) {
 					if r.outcome != classOutcome(p.WantClass) ||
 						(p.WantClass == "ok" && r.stdout != p.WantStdout) {
 						wrong++
+						if len(mismatches) < maxMismatches {
+							mismatches = append(mismatches, Mismatch{
+								Program: p.Name, Want: classOutcome(p.WantClass),
+								Got: r.outcome, Error: r.err, Digest: r.digest,
+							})
+						}
 					}
 				}
 				mu.Unlock()
@@ -250,6 +307,7 @@ func Run(cfg Config) (*Report, error) {
 		Outcomes:            outcomes,
 		Verified:            verified,
 		WrongAnswers:        wrong,
+		Mismatches:          mismatches,
 		DedupedReplies:      deduped,
 		DuplicateExecutions: dupExec,
 		AllowedFailureRatio: cfg.AllowedFailureRatio,
@@ -290,6 +348,8 @@ type reqResult struct {
 	lat     time.Duration // zero for incomplete exchanges
 	deduped bool          // 200 served from a backend dedup cache
 	execs   int           // executions stamp (0 when absent)
+	err     string        // served error text (200s only)
+	digest  string        // result digest header (200s only)
 }
 
 // oneRequest performs one POST /v1/run and classifies the result.
@@ -343,13 +403,11 @@ func oneRequest(client *http.Client, cfg *Config, p Program, seq int64) reqResul
 		if json.Unmarshal(rb, &res) != nil {
 			return reqResult{outcome: "transport_error", lat: lat}
 		}
-		out := reqResult{stdout: res.Stdout, lat: lat, deduped: res.Deduped, execs: res.Executions}
-		if res.ExitClass == "ok" {
-			out.outcome = "ok"
-		} else {
-			out.outcome = "python_error"
+		return reqResult{
+			outcome: exitOutcome(&res), stdout: res.Stdout, lat: lat,
+			deduped: res.Deduped, execs: res.Executions,
+			err: res.Error, digest: resp.Header.Get(api.HeaderResultDigest),
 		}
-		return out
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		var env api.ErrorEnvelope
 		if json.Unmarshal(rb, &env) == nil && env.Err.Code != "" {

@@ -581,14 +581,36 @@ func TestHalfOpenReadmitRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	b.mu.Lock()
-	readmits := len(b.readmits)
-	b.mu.Unlock()
-	if budget := rt.cfg.ReadmitBudget; readmits > budget {
+	readmitCount := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.readmits)
+	}
+	budget := rt.cfg.ReadmitBudget
+	if readmits := readmitCount(); readmits > budget {
 		t.Fatalf("%d readmissions in one window, budget is %d: the flap breaker leaked", readmits, budget)
 	}
-	if v := reg0BreakerHolds(rt); readmits == rt.cfg.ReadmitBudget && v == 0 {
+	// Where the race left the breaker depends on the interleaving: the
+	// traffic goroutine may re-eject after the last probe, or never
+	// between probes. Finish the cycle serially — eject, probe — until
+	// the budget is spent; one more ejected probe must then be held.
+	for i := 0; readmitCount() < budget; i++ {
+		if i > budget {
+			t.Fatalf("readmissions stuck at %d below budget %d", readmitCount(), budget)
+		}
+		b.recordFailure(1, time.Now().Add(-time.Second))
+		rt.probe(b)
+	}
+	b.recordFailure(1, time.Now().Add(-time.Second))
+	rt.probe(b)
+	if readmits := readmitCount(); readmits > budget {
+		t.Fatalf("%d readmissions in one window, budget is %d: the flap breaker leaked", readmits, budget)
+	}
+	if v := reg0BreakerHolds(rt); readmitCount() == budget && v == 0 {
 		t.Fatalf("budget exhausted but no breaker hold was recorded")
+	}
+	if st, _ := b.currentState(); st != stEjected {
+		t.Fatalf("state after an exhausted budget = %s, want ejected", st)
 	}
 }
 
